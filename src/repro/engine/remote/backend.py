@@ -121,7 +121,11 @@ class _RemoteEvalFuture:
             if self._entry is not None:
                 return self._entry
             remaining = self._remaining()
-            if remaining is not None and remaining <= 0:
+            # A task that finished in time keeps its record even when it is
+            # collected late (e.g. behind a hung sibling): only a task
+            # still running at its deadline is expired.
+            if (remaining is not None and remaining <= 0
+                    and not self._inner.done()):
                 return self._expire()
             try:
                 entry = self._inner.result(timeout=remaining)

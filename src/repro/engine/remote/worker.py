@@ -309,6 +309,13 @@ def _close_quietly(sock, rfile=None) -> None:
     if sock is None:
         return
     try:
+        # close() alone defers the real close while the reader's makefile
+        # still references the socket, so the coordinator would only see
+        # the disconnect at the next heartbeat; shutdown() sends it now.
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        log.debug("socket already disconnected", exc_info=True)
+    try:
         sock.close()
     except OSError:
         log.debug("socket close failed", exc_info=True)

@@ -4,13 +4,17 @@ The Yeo-Johnson transform (Equation 1 of the paper) maps each feature through
 an exponential, monotonic transformation whose parameter ``lambda`` is chosen
 per feature by maximising the profile log-likelihood of a normal model of the
 transformed data — the same criterion scikit-learn uses.  The optimisation is
-done with a bounded Brent search from scipy.
+a bounded Brent search: a private port of the one behind
+``scipy.optimize.minimize_scalar(method="bounded")``, step for step, so the
+chosen lambdas are bit-identical to scipy's without importing scipy (whose
+import cost would otherwise dominate program start-up).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import optimize
 
 from repro.preprocessing.base import Preprocessor
 
@@ -54,14 +58,97 @@ def yeo_johnson_log_likelihood(x: np.ndarray, lmbda: float) -> float:
     return float(loglike)
 
 
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+#: scipy's defaults for the bounded method: absolute x tolerance and the
+#: cap on function evaluations
+_XATOL = 1e-5
+_MAXITER = 500
+
+
+def _minimize_bounded(func, lower: float, upper: float) -> float:
+    """Brent's bounded scalar minimisation; returns the minimising ``x``.
+
+    A line-for-line port of scipy's ``_minimize_scalar_bounded`` (golden
+    section search with parabolic interpolation) at its default settings.
+    Keeping the arithmetic identical keeps the result bit-identical to
+    ``minimize_scalar(func, bounds=(lower, upper), method="bounded").x``.
+    """
+    a, b = lower, upper
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign_or_one(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+
+        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXITER:
+            break
+    return xf
+
+
+def _sign_or_one(value: float) -> float:
+    """``np.sign(value) + (value == 0)``: the sign, with zero mapped to +1."""
+    return -1.0 if value < 0 else 1.0
+
+
 def optimal_lambda(x: np.ndarray, bounds: tuple[float, float] = (-4.0, 4.0)) -> float:
     """Find the lambda maximising the Yeo-Johnson profile log-likelihood."""
-    result = optimize.minimize_scalar(
-        lambda lmbda: -yeo_johnson_log_likelihood(x, lmbda),
-        bounds=bounds,
-        method="bounded",
-    )
-    return float(result.x)
+    return float(_minimize_bounded(
+        lambda lmbda: -yeo_johnson_log_likelihood(x, lmbda), *bounds))
 
 
 class PowerTransformer(Preprocessor):

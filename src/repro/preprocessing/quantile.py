@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ValidationError
 from repro.preprocessing.base import Preprocessor
@@ -64,6 +63,11 @@ class QuantileTransformer(Preprocessor):
             landmarks = self.quantiles_[:, j]
             out[:, j] = np.interp(X[:, j], landmarks, self.references_)
         if self.output_distribution == "normal":
+            # Deferred: only the extended parameter space reaches this
+            # branch, and scipy would otherwise load on every start-up.
+            # ``ndtri`` is the standard normal inverse CDF (``norm.ppf``).
+            from scipy.special import ndtri
+
             clipped = np.clip(out, self._NORMAL_CLIP, 1.0 - self._NORMAL_CLIP)
-            out = stats.norm.ppf(clipped)
+            out = ndtri(clipped)
         return out

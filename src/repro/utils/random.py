@@ -9,6 +9,12 @@ type themselves.
 from __future__ import annotations
 
 import numpy as np
+# numpy 2.x loads these submodules lazily: ``numpy.random`` on the first
+# ``default_rng`` and ``numpy.ma`` on the first ``np.unique``.  Importing
+# them with the library means a forked pool worker inherits them instead
+# of paying the import inside its first evaluation.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from repro.exceptions import ValidationError
 

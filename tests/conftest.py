@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,28 @@ def live_engine():
     yield factory
     for cleanup in reversed(cleanups):
         cleanup()
+
+
+@pytest.fixture
+def clock_ahead(monkeypatch):
+    """Factory: move the monotonic clock one module sees ``skew`` s ahead.
+
+    Replaces the module's ``time`` with a view of the real module whose
+    ``monotonic`` runs ``skew`` seconds fast, so a deadline computed
+    earlier reads as blown without the test sleeping through it.  The
+    real clock everywhere else is untouched.
+    """
+    class _Ahead:
+        def __init__(self, skew):
+            self._skew = skew
+
+        def __getattr__(self, name):
+            return getattr(time, name)
+
+        def monotonic(self):
+            return time.monotonic() + self._skew
+
+    def apply(module, skew):
+        monkeypatch.setattr(module, "time", _Ahead(skew))
+
+    return apply

@@ -465,6 +465,33 @@ class TestProcessRecovery:
         assert _counter("engine.retries") >= 1
         assert _counter("engine.quarantined_tasks") == 0
 
+    def test_finished_task_collected_after_its_deadline_keeps_its_record(
+            self, clock_ahead):
+        # The engine collects in submission order, so a task can finish
+        # in time yet be collected after its deadline (queued behind a
+        # hung sibling).  Its real record must survive, and the pool must
+        # not be discarded for a deadline nobody missed.
+        from repro.engine import backends
+
+        task = _sample_tasks(1)[0]
+        backend = ProcessBackend(n_workers=1, eval_timeout=60.0,
+                                 retry_policy=FAST_RETRY)
+        try:
+            future = backend.submit_evaluation(
+                _make_evaluator(), (task.pipeline, task.fidelity))
+            give_up = time.monotonic() + 50.0
+            while not future.done() and time.monotonic() < give_up:
+                time.sleep(0.02)
+            assert future.done()  # finished well inside its 60 s deadline
+            clock_ahead(backends, 120.0)
+            entry = future.result()
+        finally:
+            backend.close()
+        assert entry.get("failure_kind") is None
+        assert entry["accuracy"] == _reference_rows(1)[0][2]
+        assert _counter("engine.eval_timeouts") == 0
+        assert _counter("engine.worker_crashes") == 0
+
     @pytest.mark.slow
     def test_async_futures_survive_a_worker_kill(self):
         engine = _chaos_engine(

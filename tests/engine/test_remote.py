@@ -315,6 +315,26 @@ class TestRecovery:
         assert _counter("engine.eval_timeouts") >= 1
         assert _counter("engine.quarantined_tasks") == 0
 
+    def test_finished_task_collected_after_its_deadline_keeps_its_record(
+            self, clock_ahead):
+        # A task that finished in time but is collected after its
+        # deadline (queued behind a hung sibling) keeps its real record:
+        # the coordinator-side clock jumps past the deadline only once
+        # the result has already arrived.
+        from repro.engine.remote import backend as remote_backend
+
+        task = _sample_tasks(1)[0]
+        with _Fleet(1, eval_timeout=60.0,
+                    retry_policy=FAST_RETRY) as backend:
+            future = backend.submit_evaluation(
+                _make_evaluator(), (task.pipeline, task.fidelity))
+            assert _wait_until(future.done, timeout=50.0)
+            clock_ahead(remote_backend, 120.0)
+            entry = future.result()
+        assert entry.get("failure_kind") is None
+        assert entry["accuracy"] == _reference_rows(1)[0][2]
+        assert _counter("engine.eval_timeouts") == 0
+
     def test_abrupt_worker_death_is_counted_and_survivable(self):
         reference = _reference_rows(4)
         backend, workers = start_loopback(2, retry_policy=FAST_RETRY)

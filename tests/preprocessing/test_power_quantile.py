@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from repro.exceptions import ValidationError
 from repro.preprocessing import PowerTransformer, QuantileTransformer
@@ -48,6 +48,30 @@ class TestYeoJohnsonFunction:
         lmbda = optimal_lambda(x)
         transformed = yeo_johnson_transform(x, lmbda)
         assert abs(stats.skew(transformed)) < abs(stats.skew(x))
+
+
+class TestOptimalLambdaMatchesScipy:
+    """``optimal_lambda`` ports scipy's bounded Brent search bit for bit."""
+
+    COLUMNS = {
+        "skewed": lambda rng, n: rng.lognormal(sigma=1.5, size=n),
+        "exponential": lambda rng, n: rng.exponential(scale=5.0, size=n),
+        "negative": lambda rng, n: -rng.exponential(scale=3.0, size=n),
+        "integer": lambda rng, n: rng.integers(0, 6, size=n).astype(float),
+        "near_constant": lambda rng, n: 3.0 + 1e-9 * rng.normal(size=n),
+        "heavy_tailed": lambda rng, n: 100.0 * rng.standard_t(2, size=n),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    def test_bit_identical_to_minimize_scalar(self, kind):
+        rng = np.random.default_rng(sorted(self.COLUMNS).index(kind))
+        for n in (5, 17, 60, 250) * 5:
+            x = self.COLUMNS[kind](rng, n)
+            reference = optimize.minimize_scalar(
+                lambda lmbda: -yeo_johnson_log_likelihood(x, lmbda),
+                bounds=(-4.0, 4.0), method="bounded",
+            ).x
+            assert optimal_lambda(x) == float(reference)
 
 
 class TestPowerTransformer:
@@ -113,6 +137,16 @@ class TestQuantileTransformer:
                                   output_distribution="normal").fit_transform(X)
         assert abs(out.mean()) < 0.15
         assert abs(out.std() - 1.0) < 0.2
+
+    def test_normal_output_is_norm_ppf_of_uniform_output(self, rng):
+        X = np.column_stack([rng.exponential(size=300), rng.normal(size=300),
+                             rng.integers(0, 4, size=300)])
+        uniform = QuantileTransformer(n_quantiles=120).fit_transform(X)
+        normal = QuantileTransformer(
+            n_quantiles=120, output_distribution="normal").fit_transform(X)
+        clip = QuantileTransformer._NORMAL_CLIP
+        expected = stats.norm.ppf(np.clip(uniform, clip, 1.0 - clip))
+        np.testing.assert_array_equal(normal, expected)
 
     def test_n_quantiles_clipped_to_sample_count(self, rng):
         X = rng.normal(size=(10, 2))

@@ -53,6 +53,23 @@ class TestExpectedImprovement:
         ei = expected_improvement(np.array([0.5, 0.5]), np.array([0.01, 0.3]), best=0.6)
         assert ei[1] > ei[0]
 
+    def test_matches_the_scipy_normal_formula(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            mean = rng.uniform(0.3, 1.0, size=30)
+            std = rng.choice([0.0, 1e-4, 0.02, 0.2], size=30) * rng.random(30)
+            best = rng.uniform(0.5, 0.95)
+            ei = expected_improvement(mean, std, best)
+            clipped = np.maximum(std, 1e-9)
+            improvement = mean - best - 0.01
+            z = improvement / clipped
+            reference = (improvement * stats.norm.cdf(z)
+                         + clipped * stats.norm.pdf(z))
+            np.testing.assert_allclose(ei, reference, rtol=0, atol=1e-15)
+            assert np.argmax(ei) == np.argmax(reference)
+
 
 class TestSMACAndTPE:
     def test_smac_initialisation_count(self, lr_problem):
