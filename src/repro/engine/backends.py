@@ -23,16 +23,19 @@ implementation closes over the evaluator (fine for threads, which share
 memory); :class:`ProcessBackend` overrides it to ship the evaluator to each
 worker process once via the pool initializer instead of once per task.
 
-Evaluation dispatch is *fault tolerant* (see :mod:`repro.engine.faults`):
-every path runs under the backend's :class:`~repro.engine.faults.RetryPolicy`
-and optional ``eval_timeout`` deadline.  The process backend survives
-worker crashes — a ``BrokenProcessPool`` discards the broken
-fingerprint-keyed pool, rebuilds it, and resubmits the lost in-flight
-tasks; a task that keeps killing its worker is quarantined as a
-``failure_kind="worker_crash"`` entry instead of killing the search, and
-a hung evaluation is detected by a watchdog and recorded as
-``failure_kind="timeout"``.  The serial/thread backends apply the same
-policy with soft deadline checks (they cannot interrupt in-flight work).
+Evaluation dispatch is *fault tolerant* (see :mod:`repro.engine.faults`)
+through one layer shared by every backend.  :func:`_retry_or_quarantine`
+charges a failed attempt under the backend's
+:class:`~repro.engine.faults.RetryPolicy` or quarantines the task as a
+``failure_kind="worker_crash"`` entry, and ``_note_failure`` keeps the
+latest failure as ``last_crash`` for ``/healthz``.  Backends with real
+workers (the process pool, the remote fleet) hand out one
+:class:`RecoveringFuture` per evaluation: it owns the task's attempts and
+deadline, and records an attempt still running at its deadline as
+``failure_kind="timeout"``.  Two paths keep their own rules: the
+serial/thread soft deadline is measured around the run, because a lazy
+serial future runs only when collected, and the process batch path
+isolates an unattributed pool crash by running one task at a time.
 Recovery is observable through the ``engine.worker_crashes`` /
 ``engine.eval_timeouts`` / ``engine.retries`` / ``engine.quarantined_tasks``
 registry counters and ``engine.retry`` trace spans.
@@ -43,6 +46,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -58,6 +62,7 @@ from repro.engine.faults import (
     FAILURE_KIND_CRASH,
     FAILURE_KIND_TIMEOUT,
     TRANSIENT_ERROR_TYPES,
+    EvaluationTimeoutError,
     RetryPolicy,
     WorkerCrashError,
     apply_fault_in_worker,
@@ -87,12 +92,28 @@ def _validate_eval_timeout(eval_timeout):
     return eval_timeout
 
 
-def _trace_retry(evaluator, attempt: int, error_name: str) -> None:
-    """Emit an ``engine.retry`` span when the evaluator is traced."""
+def _count_retry(evaluator, attempt: int, error_name: str) -> None:
+    """Count one retry; emit its ``engine.retry`` span when traced."""
+    get_registry().counter("engine.retries").inc()
     tracer = getattr(evaluator, "tracer", None)
     if tracer is not None:
         tracer.emit("engine.retry", ts=time.time(), dur=0.0,
                     attempt=attempt, error=error_name)
+
+
+def _retry_or_quarantine(policy, evaluator, attempt: int, error) -> bool:
+    """Charge try number ``attempt`` of a task, which failed with ``error``.
+
+    True when the task may run again (the retry is counted and its backoff
+    already slept); False when it is quarantined — the caller then records
+    a ``worker_crash`` failure entry.
+    """
+    if not policy.should_retry(attempt, error):
+        get_registry().counter("engine.quarantined_tasks").inc()
+        return False
+    _count_retry(evaluator, attempt, type(error).__name__)
+    policy.sleep(attempt)
+    return True
 
 
 def _kill_pool(pool) -> None:
@@ -174,6 +195,131 @@ class SerialFuture:
         return False
 
 
+class RecoveringFuture:
+    """Future for one evaluation that survives infrastructure faults.
+
+    The one recovering future of every backend with real workers.  It
+    owns the task's attempt counter and deadline — queue plus run time,
+    restarted with each attempt — and :meth:`result` never raises on an
+    infrastructure failure: a lost or hung attempt resolves to another
+    attempt or a ``failure_kind`` entry, so the engine's ``resolve_task``
+    path needs no fault-specific cases.  The backend supplies three
+    primitives:
+
+    ``_start_attempt(evaluator, item)``
+        dispatch one attempt; returns ``(handle, raw_future)``.
+    ``_end_attempt(evaluator, handle, expired=...)``
+        give up on an attempt that is still running at its deadline
+        (``expired=True``) or that the caller cancelled.
+    ``_lost_attempt(evaluator, handle, error)``
+        the error the task is charged with after its raw future raised
+        ``error``: :class:`EvaluationTimeoutError` for a timeout record,
+        ``None`` when the attempt was lost through no fault of its own
+        (it is resubmitted uncharged).
+    """
+
+    __slots__ = ("_backend", "_evaluator", "_item", "_handle", "_inner",
+                 "_attempt", "_deadline", "_entry", "_user_cancelled",
+                 "__weakref__")
+
+    def __init__(self, backend, evaluator, item) -> None:
+        self._backend = backend
+        self._evaluator = evaluator
+        self._item = item
+        self._attempt = 1
+        self._entry = None
+        self._user_cancelled = False
+        self._start()
+
+    def _start(self) -> None:
+        self._handle, self._inner = self._backend._start_attempt(
+            self._evaluator, self._item)
+        timeout = self._backend.eval_timeout
+        self._deadline = (None if timeout is None
+                          else time.monotonic() + timeout)
+
+    def _remaining(self) -> float | None:
+        if self._deadline is None:
+            return None
+        return self._deadline - time.monotonic()
+
+    def done(self) -> bool:
+        if self._entry is not None or self._inner.done():
+            return True
+        remaining = self._remaining()
+        return remaining is not None and remaining <= 0
+
+    def cancel(self) -> bool:
+        if not self._inner.cancel():
+            return False
+        # Remember a *caller's* cancellation: an attempt torn down under
+        # this future is recovered, but a cancelled task must not
+        # silently re-run.
+        self._user_cancelled = True
+        self._backend._end_attempt(self._evaluator, self._handle,
+                                   expired=False)
+        return True
+
+    def cancelled(self) -> bool:
+        return self._user_cancelled
+
+    def running(self) -> bool:
+        return self._entry is None and self._inner.running()
+
+    def result(self, timeout=None):
+        # ``timeout`` mirrors the Future interface; the evaluation deadline
+        # (backend.eval_timeout) is what actually bounds this call.
+        while self._entry is None:
+            remaining = self._remaining()
+            # A task that finished in time keeps its record even when it is
+            # collected late (e.g. behind a hung sibling): only a task
+            # still running at its deadline is expired.
+            if (remaining is not None and remaining <= 0
+                    and not self._inner.done()):
+                self._time_out(expired=True)
+                break
+            try:
+                self._entry = self._inner.result(timeout=remaining)
+            except FuturesTimeoutError:
+                self._time_out(expired=True)
+            except CancelledError as error:
+                if self._user_cancelled:
+                    raise
+                self._recover(error)
+            except (EvaluationTimeoutError, *TRANSIENT_ERROR_TYPES) as error:
+                self._recover(error)
+        return self._entry
+
+    def _recover(self, error) -> None:
+        """Resolve the task, or start its next attempt, after ``error``."""
+        error = self._backend._lost_attempt(self._evaluator, self._handle,
+                                            error)
+        if isinstance(error, EvaluationTimeoutError):
+            self._time_out(expired=False)
+            return
+        if error is not None:
+            if not _retry_or_quarantine(self._backend.retry_policy,
+                                        self._evaluator, self._attempt,
+                                        error):
+                self._entry = failure_entry(FAILURE_KIND_CRASH)
+                return
+            self._attempt += 1
+        self._item = strip_fault(self._item)
+        self._start()
+
+    def _time_out(self, *, expired: bool) -> None:
+        """Resolve as a timeout record; end the attempt if ``expired``."""
+        get_registry().counter("engine.eval_timeouts").inc()
+        if expired:
+            self._backend._end_attempt(self._evaluator, self._handle,
+                                       expired=True)
+        else:
+            # Nothing left to end: the attempt itself is already over.
+            self._backend._note_failure(FAILURE_KIND_TIMEOUT,
+                                        self._evaluator.fingerprint())
+        self._entry = failure_entry(FAILURE_KIND_TIMEOUT)
+
+
 class ExecutionBackend:
     """Backend protocol: ordered ``map`` plus evaluation dispatch.
 
@@ -206,17 +352,33 @@ class ExecutionBackend:
     def __init__(self, n_workers: int | None = None, *,
                  eval_timeout: float | None = None,
                  retry_policy: RetryPolicy | None = None) -> None:
-        if n_workers is None or n_workers == -1:
-            n_workers = default_worker_count()
-        n_workers = int(n_workers)
-        if n_workers < 1:
-            raise ValidationError(f"n_workers must be at least 1, got {n_workers}")
-        self.n_workers = n_workers
+        if n_workers in (None, -1):
+            n_workers = None
+        else:
+            n_workers = int(n_workers)
+            if n_workers < 1:
+                raise ValidationError(
+                    f"n_workers must be at least 1, got {n_workers}")
+        #: the configured worker count; ``None`` means one per CPU core
+        self._worker_cap = n_workers
         self.eval_timeout = _validate_eval_timeout(eval_timeout)
         self.retry_policy = RetryPolicy() if retry_policy is None else retry_policy
         #: ``{"kind", "time", "fingerprint"}`` of the most recent pool
         #: loss, or ``None``; surfaced by ``repro serve``'s ``/healthz``
         self.last_crash: dict | None = None
+
+    @property
+    def n_workers(self) -> int:
+        """Maximum number of concurrent workers."""
+        if self._worker_cap is None:
+            return default_worker_count()
+        return self._worker_cap
+
+    def _note_failure(self, kind: str, fingerprint: str | None) -> None:
+        """Record the latest pool loss or timeout as ``last_crash``."""
+        self.last_crash = {"kind": kind, "time": time.time(),
+                           "fingerprint": (None if fingerprint is None
+                                           else fingerprint[:12])}
 
     # ------------------------------------------------------------------ API
     def map(self, fn, items: list) -> list:
@@ -258,16 +420,10 @@ class ExecutionBackend:
                     # Crash observed without a pool involved (serial/thread
                     # or the single-item inline path): still surfaced to
                     # /healthz, same shape as a pool loss.
-                    self.last_crash = {"kind": FAILURE_KIND_CRASH,
-                                       "time": time.time(),
-                                       "fingerprint":
-                                           evaluator.fingerprint()[:12]}
-                if not policy.should_retry(attempt, error):
-                    get_registry().counter("engine.quarantined_tasks").inc()
+                    self._note_failure(FAILURE_KIND_CRASH,
+                                       evaluator.fingerprint())
+                if not _retry_or_quarantine(policy, evaluator, attempt, error):
                     return failure_entry(FAILURE_KIND_CRASH)
-                get_registry().counter("engine.retries").inc()
-                _trace_retry(evaluator, attempt, type(error).__name__)
-                policy.sleep(attempt)
                 attempt += 1
                 item = strip_fault(item)
                 continue
@@ -277,10 +433,8 @@ class ExecutionBackend:
                 # thread, but it is scored exactly as the process watchdog
                 # would have scored it — a deterministic timeout record.
                 get_registry().counter("engine.eval_timeouts").inc()
-                self.last_crash = {"kind": FAILURE_KIND_TIMEOUT,
-                                   "time": time.time(),
-                                   "fingerprint":
-                                       evaluator.fingerprint()[:12]}
+                self._note_failure(FAILURE_KIND_TIMEOUT,
+                                   evaluator.fingerprint())
                 return failure_entry(FAILURE_KIND_TIMEOUT)
             return entry
 
@@ -300,10 +454,27 @@ class ExecutionBackend:
         )
 
     def wait_any(self, futures) -> None:
-        """Block until at least one of ``futures`` is done (or all are)."""
+        """Block until at least one of ``futures`` is done (or all are).
+
+        A :class:`RecoveringFuture` is waited on through its current
+        attempt, and the wait is bounded by the nearest deadline: when it
+        passes with nothing done, the expired future reports ``done()``
+        and resolves to its timeout record on ``result()``.
+        """
         pending = [future for future in futures if not future.done()]
-        if pending:
-            wait(pending, return_when=FIRST_COMPLETED)
+        if not pending:
+            return
+        timeout = None
+        raw = []
+        for future in pending:
+            if isinstance(future, RecoveringFuture):
+                remaining = future._remaining()
+                if remaining is not None:
+                    timeout = max(0.0, remaining if timeout is None
+                                  else min(timeout, remaining))
+                future = future._inner
+            raw.append(future)
+        wait(raw, timeout=timeout, return_when=FIRST_COMPLETED)
 
     def close(self) -> None:
         """Release any pooled workers (no-op for poolless backends)."""
@@ -437,127 +608,6 @@ def _evaluate_in_worker(item):
     return entry
 
 
-class _RecoveringEvalFuture:
-    """Future for one submitted evaluation that survives pool crashes.
-
-    Wraps the real pool future and owns the task's retry/deadline state.
-    :meth:`result` never raises on an *infrastructure* failure — a crashed
-    or hung evaluation resolves to a ``failure_kind`` entry instead — so
-    the engine's ``resolve_task`` path needs no fault-specific cases.  The
-    deadline covers queue time plus run time, measured from submission.
-    """
-
-    __slots__ = ("_backend", "_evaluator", "_item", "_pool", "_inner",
-                 "_attempt", "_deadline", "_entry", "_user_cancelled",
-                 "__weakref__")
-
-    def __init__(self, backend, evaluator, item) -> None:
-        self._backend = backend
-        self._evaluator = evaluator
-        self._item = item
-        self._attempt = 1
-        self._entry = None
-        self._user_cancelled = False
-        self._pool, self._inner = backend._submit_item(evaluator, item)
-        self._reset_deadline()
-
-    def _reset_deadline(self) -> None:
-        timeout = self._backend.eval_timeout
-        self._deadline = (None if timeout is None
-                          else time.monotonic() + timeout)
-
-    def _remaining(self) -> float | None:
-        if self._deadline is None:
-            return None
-        return self._deadline - time.monotonic()
-
-    def done(self) -> bool:
-        if self._entry is not None or self._inner.done():
-            return True
-        remaining = self._remaining()
-        return remaining is not None and remaining <= 0
-
-    def cancel(self) -> bool:
-        cancelled = self._inner.cancel()
-        if cancelled:
-            # Remember a *caller's* cancellation: a CancelledError from a
-            # pool that was torn down under us must be retried, but a
-            # legitimately cancelled task must not silently re-run.
-            self._user_cancelled = True
-        return cancelled
-
-    def cancelled(self) -> bool:
-        return self._user_cancelled
-
-    def running(self) -> bool:
-        return self._entry is None and self._inner.running()
-
-    def result(self, timeout=None):
-        # ``timeout`` mirrors the Future interface; the evaluation deadline
-        # (backend.eval_timeout) is what actually bounds this call.
-        while True:
-            if self._entry is not None:
-                return self._entry
-            remaining = self._remaining()
-            # A task that finished in time keeps its record even when it is
-            # collected late (e.g. behind a hung sibling): only a task
-            # still running at its deadline is expired.
-            if (remaining is not None and remaining <= 0
-                    and not self._inner.done()):
-                return self._expire()
-            try:
-                entry = self._inner.result(timeout=remaining)
-            except FuturesTimeoutError:
-                return self._expire()
-            except CancelledError:
-                if self._user_cancelled:
-                    raise
-                # The pool was torn down under this future (a sibling's
-                # crash or timeout discard) — a crash casualty, not a
-                # caller's cancellation.
-                if self._retry_or_quarantine(
-                        WorkerCrashError("evaluation pool was torn down "
-                                         "with this task in flight")):
-                    return self._entry
-            except BrokenProcessPool as error:
-                self._backend._note_broken(self._evaluator, self._pool)
-                if self._retry_or_quarantine(error):
-                    return self._entry
-            except TRANSIENT_ERROR_TYPES as error:
-                # Raised *inside* the worker; the pool itself is intact.
-                if self._retry_or_quarantine(error):
-                    return self._entry
-            else:
-                self._entry = entry
-                return entry
-
-    def _expire(self) -> dict:
-        """Deadline blown: kill the pool, resolve as a timeout record."""
-        get_registry().counter("engine.eval_timeouts").inc()
-        self._backend._discard_pool(self._evaluator, self._pool,
-                                    kind=FAILURE_KIND_TIMEOUT)
-        self._entry = failure_entry(FAILURE_KIND_TIMEOUT)
-        return self._entry
-
-    def _retry_or_quarantine(self, error) -> bool:
-        """True when resolved (quarantined); False when resubmitted."""
-        policy = self._backend.retry_policy
-        if not policy.should_retry(self._attempt, error):
-            get_registry().counter("engine.quarantined_tasks").inc()
-            self._entry = failure_entry(FAILURE_KIND_CRASH)
-            return True
-        get_registry().counter("engine.retries").inc()
-        _trace_retry(self._evaluator, self._attempt, type(error).__name__)
-        policy.sleep(self._attempt)
-        self._attempt += 1
-        self._item = strip_fault(self._item)
-        self._pool, self._inner = self._backend._submit_item(
-            self._evaluator, self._item
-        )
-        self._reset_deadline()
-        return False
-
-
 class ProcessBackend(ExecutionBackend):
     """Dispatch tasks to a process pool (true CPU parallelism).
 
@@ -591,8 +641,8 @@ class ProcessBackend(ExecutionBackend):
     keeping recovered runs bit-for-bit repeatable.  With ``eval_timeout`` set, a hung
     evaluation is detected (no completion within the deadline), its pool
     is killed and rebuilt, and the task resolves as a ``timeout`` entry —
-    queued innocents from the same pool are resubmitted without being
-    charged an attempt.
+    innocents in flight on the same pool are resubmitted without being
+    charged an attempt, on the batch path and the futures path alike.
     """
 
     name = "process"
@@ -614,6 +664,9 @@ class ProcessBackend(ExecutionBackend):
         self._lock = threading.Lock()
         #: fingerprint -> initializer-seeded pool, most recently used last
         self._eval_pools: "OrderedDict[str, ProcessPoolExecutor]" = OrderedDict()
+        #: pools killed because one of their tasks blew its deadline
+        self._timed_out_pools: "weakref.WeakSet[ProcessPoolExecutor]" = (
+            weakref.WeakSet())
         self._submit_pool: ProcessPoolExecutor | None = None
 
     def map(self, fn, items: list) -> list:
@@ -636,7 +689,7 @@ class ProcessBackend(ExecutionBackend):
         # Reuse the initializer-seeded evaluation pool so the evaluator is
         # pickled once per pool, not once per submitted task; the wrapper
         # owns crash recovery and the deadline for this one task.
-        return _RecoveringEvalFuture(self, evaluator, item)
+        return RecoveringFuture(self, evaluator, item)
 
     # --------------------------------------------------- pool bookkeeping
     def _evaluation_pool(self, evaluator) -> ProcessPoolExecutor:
@@ -677,8 +730,9 @@ class ProcessBackend(ExecutionBackend):
             evicted = self._eval_pools.get(key) is pool
             if evicted:
                 del self._eval_pools[key]
-                self.last_crash = {"kind": kind, "time": time.time(),
-                                   "fingerprint": key[:12]}
+                if kind == FAILURE_KIND_TIMEOUT:
+                    self._timed_out_pools.add(pool)
+                self._note_failure(kind, key)
         if evicted:
             _kill_pool(pool)
         return evicted
@@ -688,7 +742,7 @@ class ProcessBackend(ExecutionBackend):
         if self._discard_pool(evaluator, pool, kind=FAILURE_KIND_CRASH):
             get_registry().counter("engine.worker_crashes").inc()
 
-    def _submit_item(self, evaluator, item):
+    def _start_attempt(self, evaluator, item):
         """Submit one item, rebuilding the fingerprint pool if it is broken.
 
         Returns ``(pool, future)``.  A pool that keeps breaking faster
@@ -709,6 +763,26 @@ class ProcessBackend(ExecutionBackend):
                         f"and could not be rebuilt"
                     ) from error
                 attempt += 1
+
+    def _end_attempt(self, evaluator, pool, *, expired: bool) -> None:
+        # A cancelled attempt never started; a hung worker cannot be
+        # cancelled, so an expired attempt takes its whole pool down.
+        if expired:
+            self._discard_pool(evaluator, pool, kind=FAILURE_KIND_TIMEOUT)
+
+    def _lost_attempt(self, evaluator, pool, error):
+        if not isinstance(error, (BrokenProcessPool, CancelledError)):
+            return error  # raised inside the worker: the pool is intact
+        if pool in self._timed_out_pools:
+            # A sibling's expiry killed the pool with this task in flight.
+            return None
+        if isinstance(error, CancelledError):
+            # The pool was torn down under this future (a sibling's
+            # crash) — a crash casualty, not a caller's cancellation.
+            return WorkerCrashError("evaluation pool was torn down with "
+                                    "this task in flight")
+        self._note_broken(evaluator, pool)
+        return error
 
     # ----------------------------------------------------------- batch path
     def run_evaluations(self, evaluator, work: list) -> list:
@@ -771,18 +845,14 @@ class ProcessBackend(ExecutionBackend):
             if isolate:
                 # Exactly one task was in flight: the crash is its.
                 index = batch[0][0]
-                if not policy.should_retry(attempts[index]):
-                    results[index] = failure_entry(FAILURE_KIND_CRASH)
-                    get_registry().counter("engine.quarantined_tasks").inc()
-                    del pending[index]
-                    isolate = False
-                else:
-                    get_registry().counter("engine.retries").inc()
-                    _trace_retry(evaluator, attempts[index],
-                                 "BrokenProcessPool")
-                    policy.sleep(attempts[index])
+                if _retry_or_quarantine(policy, evaluator, attempts[index],
+                                        BrokenProcessPool()):
                     attempts[index] += 1
                     pending[index] = strip_fault(pending[index])
+                else:
+                    results[index] = failure_entry(FAILURE_KIND_CRASH)
+                    del pending[index]
+                    isolate = False
             else:
                 # Unattributed crash: the round consumed one attempt of
                 # every in-flight item (strip spent one-shot faults), but
@@ -790,8 +860,7 @@ class ProcessBackend(ExecutionBackend):
                 # instead.  One shared backoff per crash, not per task:
                 # the whole pool died at once.
                 for index in sorted(pending):
-                    get_registry().counter("engine.retries").inc()
-                    _trace_retry(evaluator, attempts[index],
+                    _count_retry(evaluator, attempts[index],
                                  "BrokenProcessPool")
                     pending[index] = strip_fault(pending[index])
                 isolate = True
@@ -841,15 +910,11 @@ class ProcessBackend(ExecutionBackend):
                 except TRANSIENT_ERROR_TYPES as error:
                     # Raised inside the worker — the pool is intact, so
                     # retry (or quarantine) just this task.
-                    if not policy.should_retry(attempts[index], error):
+                    if not _retry_or_quarantine(policy, evaluator,
+                                                attempts[index], error):
                         results[index] = failure_entry(FAILURE_KIND_CRASH)
-                        get_registry().counter("engine.quarantined_tasks").inc()
                         del pending[index]
                         continue
-                    get_registry().counter("engine.retries").inc()
-                    _trace_retry(evaluator, attempts[index],
-                                 type(error).__name__)
-                    policy.sleep(attempts[index])
                     attempts[index] += 1
                     pending[index] = strip_fault(pending[index])
                     try:
@@ -864,29 +929,6 @@ class ProcessBackend(ExecutionBackend):
                 self._note_broken(evaluator, pool)
                 return False
         return True
-
-    def wait_any(self, futures) -> None:
-        # Unwrap the recovery wrappers and bound the wait by the nearest
-        # evaluation deadline, so a hung worker can never block the driver:
-        # when the deadline passes with nothing done, the expired wrapper
-        # reports done() and resolves to its timeout entry on result().
-        pending = [future for future in futures if not future.done()]
-        if not pending:
-            return
-        timeout = None
-        inner = []
-        for future in pending:
-            if isinstance(future, _RecoveringEvalFuture):
-                remaining = future._remaining()
-                if remaining is not None:
-                    timeout = (remaining if timeout is None
-                               else min(timeout, remaining))
-                inner.append(future._inner)
-            else:
-                inner.append(future)
-        if timeout is not None:
-            timeout = max(0.0, timeout)
-        wait(inner, timeout=timeout, return_when=FIRST_COMPLETED)
 
     def close(self) -> None:
         # cancel_futures drops queued-but-unstarted work so shutdown joins

@@ -38,6 +38,7 @@ from repro.engine import (
     WorkerCrashError,
     classify_failure,
     is_transient,
+    start_loopback,
 )
 from repro.engine.backends import (
     ProcessBackend,
@@ -449,6 +450,39 @@ class TestBudgetsUnderFaults:
         assert _counter("engine.quarantined_tasks") == 1
 
 
+@pytest.mark.parametrize("name", ["serial", "thread", "process", "remote"])
+def test_finished_task_collected_after_its_deadline_keeps_its_record(
+        name, clock_ahead):
+    # A task can finish in time yet be collected after its deadline
+    # (collected in submission order behind a hung sibling).  Its real
+    # record must survive, and nothing may be discarded for a deadline
+    # nobody missed.
+    from repro.engine import backends
+
+    task = _sample_tasks(1)[0]
+    options = {"eval_timeout": 60.0, "retry_policy": FAST_RETRY}
+    workers = []
+    if name == "remote":
+        backend, workers = start_loopback(1, **options)
+    else:
+        backend = make_backend(name, n_workers=1, **options)
+    try:
+        future = backend.submit_evaluation(
+            _make_evaluator(), (task.pipeline, task.fidelity))
+        backend.wait_any([future])  # runs a lazy serial future
+        assert future.done()  # finished well inside its 60 s deadline
+        clock_ahead(backends, 120.0)
+        entry = future.result()
+    finally:
+        backend.close()
+        for worker in workers:
+            worker.stop()
+    assert entry.get("failure_kind") is None
+    assert entry["accuracy"] == _reference_rows(1)[0][2]
+    assert _counter("engine.eval_timeouts") == 0
+    assert _counter("engine.worker_crashes") == 0
+
+
 class TestProcessRecovery:
     """Real pool workers, really killed; the compact case stays tier-1."""
 
@@ -465,31 +499,44 @@ class TestProcessRecovery:
         assert _counter("engine.retries") >= 1
         assert _counter("engine.quarantined_tasks") == 0
 
-    def test_finished_task_collected_after_its_deadline_keeps_its_record(
-            self, clock_ahead):
-        # The engine collects in submission order, so a task can finish
-        # in time yet be collected after its deadline (queued behind a
-        # hung sibling).  Its real record must survive, and the pool must
-        # not be discarded for a deadline nobody missed.
+    @pytest.mark.parametrize("max_attempts", [1, 3])
+    def test_sibling_expiry_does_not_charge_an_in_flight_task(
+            self, clock_ahead, max_attempts):
+        # Expiring the hung task kills its whole pool, and with it the
+        # innocent task running beside it.  That lost attempt is not the
+        # innocent's fault: it is resubmitted with no attempt charged, no
+        # retry counted and no backoff, so it is never quarantined.
         from repro.engine import backends
 
-        task = _sample_tasks(1)[0]
-        backend = ProcessBackend(n_workers=1, eval_timeout=60.0,
-                                 retry_policy=FAST_RETRY)
+        policy = RetryPolicy(max_attempts=max_attempts, base_delay=0.0,
+                             jitter=0.0)
+        backend = ChaosBackend(
+            ProcessBackend(n_workers=2, eval_timeout=60.0,
+                           retry_policy=policy),
+            "delay@0:30,delay@1:30",
+        )
+        evaluator = _make_evaluator()
         try:
-            future = backend.submit_evaluation(
-                _make_evaluator(), (task.pipeline, task.fidelity))
-            give_up = time.monotonic() + 50.0
-            while not future.done() and time.monotonic() < give_up:
+            hung, innocent = [
+                backend.submit_evaluation(evaluator,
+                                          (task.pipeline, task.fidelity))
+                for task in _sample_tasks(2)
+            ]
+            give_up = time.monotonic() + 30.0
+            while not (hung.running() and innocent.running()):
+                assert time.monotonic() < give_up
                 time.sleep(0.02)
-            assert future.done()  # finished well inside its 60 s deadline
             clock_ahead(backends, 120.0)
-            entry = future.result()
+            assert hung.result()["failure_kind"] == FAILURE_KIND_TIMEOUT
+            clock_ahead(backends, 0.0)
+            entry = innocent.result()
         finally:
             backend.close()
         assert entry.get("failure_kind") is None
-        assert entry["accuracy"] == _reference_rows(1)[0][2]
-        assert _counter("engine.eval_timeouts") == 0
+        assert entry["accuracy"] == _reference_rows(2)[1][2]
+        assert _counter("engine.eval_timeouts") == 1
+        assert _counter("engine.retries") == 0
+        assert _counter("engine.quarantined_tasks") == 0
         assert _counter("engine.worker_crashes") == 0
 
     @pytest.mark.slow
