@@ -62,25 +62,28 @@ class LogisticRegression(Classifier):
         alpha = 1.0 / (self.C * n_samples)
         step = float(self.learning_rate)
         previous_loss = np.inf
+        probabilities = softmax(X @ weights)
 
         for _ in range(int(self.max_iter)):
-            logits = X @ weights
-            probabilities = softmax(logits)
             grad = X.T @ (probabilities - targets) / n_samples + alpha * weights
             max_grad = np.abs(grad).max()
             if max_grad < self.tol:
                 break
             weights -= step * grad
-            loss = self._loss(X, targets, weights, alpha)
+            loss, stepped = self._loss(X, targets, weights, alpha)
             if loss > previous_loss:
                 # Overshot: undo, shrink the step and retry next iteration.
+                # Undoing can round, so the restored weights' probabilities
+                # are recomputed rather than kept from before the step.
                 weights += step * grad
                 step *= 0.5
                 if step < 1e-6:
                     break
+                probabilities = softmax(X @ weights)
             else:
                 step *= 1.05
                 previous_loss = loss
+                probabilities = stepped
 
         if self.fit_intercept:
             self.coef_ = weights[:-1]
@@ -90,13 +93,13 @@ class LogisticRegression(Classifier):
             self.intercept_ = np.zeros(n_classes)
 
     @staticmethod
-    def _loss(X, targets, weights, alpha) -> float:
-        logits = X @ weights
-        probabilities = softmax(logits)
+    def _loss(X, targets, weights, alpha) -> tuple[float, np.ndarray]:
+        """Regularised cross-entropy at ``weights``, and the probabilities."""
+        probabilities = softmax(X @ weights)
         eps = 1e-12
         data_term = -np.mean(np.sum(targets * np.log(probabilities + eps), axis=1))
         reg_term = 0.5 * alpha * float(np.sum(weights * weights))
-        return data_term + reg_term
+        return data_term + reg_term, probabilities
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         logits = X @ self.coef_ + self.intercept_

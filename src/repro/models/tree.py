@@ -88,38 +88,62 @@ def _best_split_classification(X, y, n_classes, feature_indices, min_samples_lea
 
 
 def _best_split_regression(X, y, feature_indices, min_samples_leaf):
-    """Return ``(feature, threshold, gain)`` of the best variance-reducing split."""
+    """Return ``(feature, threshold, gain)`` of the best variance-reducing split.
+
+    Every candidate feature is scored at once over a ``(features, samples)``
+    block: one stable sort and one running sum per node.  Running sums
+    accumulate left to right, exactly like a per-sample loop, and the
+    winner is the first maximum in feature-major order -- the split a
+    sequential scan keeping only strictly better gains would pick.
+    """
     n_samples = X.shape[0]
     total_sum = y.sum()
     total_sq = float(np.sum(y * y))
     parent_sse = total_sq - total_sum * total_sum / n_samples
-    best = None
-    best_gain = 1e-12
 
-    for feature in feature_indices:
-        order = np.argsort(X[:, feature], kind="mergesort")
-        values = X[order, feature]
-        targets = y[order]
-        left_sum = 0.0
-        left_sq = 0.0
-        for i in range(n_samples - 1):
-            left_sum += targets[i]
-            left_sq += targets[i] * targets[i]
-            if values[i] == values[i + 1]:
-                continue
-            n_left = i + 1
-            n_right = n_samples - n_left
-            if n_left < min_samples_leaf or n_right < min_samples_leaf:
-                continue
-            right_sum = total_sum - left_sum
-            right_sq = total_sq - left_sq
-            left_sse = left_sq - left_sum * left_sum / n_left
-            right_sse = right_sq - right_sum * right_sum / n_right
-            gain = parent_sse - (left_sse + right_sse)
-            if gain > best_gain:
-                best_gain = gain
-                best = (feature, 0.5 * (values[i] + values[i + 1]), gain)
-    return best
+    columns = X[:, feature_indices].T
+    targets = y[np.argsort(columns, axis=1, kind="mergesort")]
+    values = np.sort(columns, axis=1, kind="mergesort")
+    # a split after sorted position i leaves i + 1 samples on the left;
+    # keep only the positions that leave min_samples_leaf on both sides
+    first = max(int(np.ceil(min_samples_leaf)) - 1, 0)
+    stop = n_samples - first - 1
+    if stop <= first:
+        return None
+    left_sum = np.cumsum(targets, axis=1)[:, first:stop]
+    left_sq = np.cumsum(targets * targets, axis=1)[:, first:stop]
+    n_left = np.arange(first + 1.0, stop + 1.0)
+    n_right = n_samples - n_left
+    right_sum = total_sum - left_sum
+    right_sq = total_sq - left_sq
+    left_sse = left_sq - left_sum * left_sum / n_left
+    right_sse = right_sq - right_sum * right_sum / n_right
+    gain = parent_sse - (left_sse + right_sse)
+
+    lower, upper = values[:, first:stop], values[:, first + 1:stop + 1]
+    allowed = (lower != upper) & (gain > 1e-12)
+    row, i = divmod(int(np.argmax(np.where(allowed, gain, -np.inf))), gain.shape[1])
+    if not allowed[row, i]:
+        return None
+    return (feature_indices[row], 0.5 * (lower[row, i] + upper[row, i]),
+            gain[row, i])
+
+
+def _mean_and_variance(y: np.ndarray) -> tuple[float, float]:
+    """``(y.mean(), np.var(y))`` written out to share one sum; 0 when empty."""
+    if not y.size:
+        return 0.0, 0.0
+    mean = y.sum() / y.size
+    diff = y - mean
+    return float(mean), float((diff * diff).sum() / y.size)
+
+
+def _is_constant(y: np.ndarray) -> bool:
+    """``np.allclose(y, y[0])`` written out, with numpy's default tolerances."""
+    first = y[0]
+    if not np.isfinite(first):
+        return bool(np.all(y == first))
+    return bool(np.all(np.abs(y - first) <= 1e-08 + 1e-05 * abs(first)))
 
 
 class DecisionTreeClassifier(Classifier):
@@ -288,16 +312,17 @@ class DecisionTreeRegressor:
         return self
 
     def _build(self, X, y, depth) -> TreeNode:
+        mean, variance = _mean_and_variance(y)
         node = TreeNode(
             n_samples=X.shape[0],
             depth=depth,
-            impurity=float(np.var(y)) if y.size else 0.0,
-            value=float(y.mean()) if y.size else 0.0,
+            impurity=variance,
+            value=mean,
         )
         if (
             (self.max_depth is not None and depth >= self.max_depth)
             or X.shape[0] < self.min_samples_split
-            or np.allclose(y, y[0])
+            or _is_constant(y)
         ):
             return node
 

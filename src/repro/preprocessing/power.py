@@ -8,6 +8,31 @@ a bounded Brent search: a private port of the one behind
 ``scipy.optimize.minimize_scalar(method="bounded")``, step for step, so the
 chosen lambdas are bit-identical to scipy's without importing scipy (whose
 import cost would otherwise dominate program start-up).
+
+All features are fitted at once.  ``_minimize_bounded`` is a generator: it
+yields the next lambda to try, is sent the objective value there, and
+returns the minimiser.  :func:`_optimal_lambdas` runs one such search per
+feature and scores every pending lambda in one vectorised call over a
+row-major ``(features, samples)`` block: each element's power base
+(``x + 1`` or ``1 - x``), its sign and each feature's log-Jacobian term are
+derived once, and each step makes a single ``np.power`` call.  A single
+feature (:func:`optimal_lambda`) is the same driver with one row.
+
+The batched arithmetic is bit-identical to the per-feature definition
+(:func:`yeo_johnson_transform`, :func:`yeo_johnson_log_likelihood`), and so
+to scipy, for three reasons:
+
+* every elementwise step is the same correctly-rounded operation in the
+  same order (``-(p - 1) / d`` equals ``-((p - 1) / d)`` exactly);
+* the mean and variance are taken along the contiguous axis, so every row
+  reduces exactly like a 1-D ``.var()`` of that feature;
+* numpy's ``np.power`` with a scalar exponent of ``-1``, ``0.5`` or ``2``
+  takes a reciprocal/sqrt/square shortcut whose rounding differs from the
+  general power routine that an exponent array gets.  A row whose lambda
+  could hit a shortcut or a log branch (a multiple of 0.5, or within
+  machine epsilon of 0 or 2) is therefore recomputed by the per-feature
+  definition itself.  A Brent search essentially never probes such a
+  lambda; fitted constant features (lambda 1) and caller-set lambdas do.
 """
 
 from __future__ import annotations
@@ -17,6 +42,8 @@ import math
 import numpy as np
 
 from repro.preprocessing.base import Preprocessor
+
+_EPS = np.finfo(np.float64).eps
 
 
 def yeo_johnson_transform(x: np.ndarray, lmbda: float) -> np.ndarray:
@@ -32,14 +59,13 @@ def yeo_johnson_transform(x: np.ndarray, lmbda: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
-    eps = np.finfo(np.float64).eps
 
-    if abs(lmbda) < eps:
+    if abs(lmbda) < _EPS:
         out[pos] = np.log1p(x[pos])
     else:
         out[pos] = (np.power(x[pos] + 1.0, lmbda) - 1.0) / lmbda
 
-    if abs(lmbda - 2.0) < eps:
+    if abs(lmbda - 2.0) < _EPS:
         out[~pos] = -np.log1p(-x[~pos])
     else:
         out[~pos] = -(np.power(1.0 - x[~pos], 2.0 - lmbda) - 1.0) / (2.0 - lmbda)
@@ -58,6 +84,35 @@ def yeo_johnson_log_likelihood(x: np.ndarray, lmbda: float) -> float:
     return float(loglike)
 
 
+def _power_bases(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's branch (``x >= 0``) and power base (``x+1`` or ``1-x``)."""
+    pos = rows >= 0
+    return pos, np.where(pos, rows + 1.0, 1.0 - rows)
+
+
+def _yeo_johnson_rows(rows: np.ndarray, pos: np.ndarray, bases: np.ndarray,
+                      lambdas: np.ndarray) -> np.ndarray:
+    """Row ``i`` of the result is ``yeo_johnson_transform(rows[i], lambdas[i])``.
+
+    ``rows`` is a C-contiguous ``(features, samples)`` block and ``pos``,
+    ``bases`` come from :func:`_power_bases`; one ``np.power`` call covers
+    the whole block.
+    """
+    lam = lambdas[:, None]
+    exponents = np.where(pos, lam, 2.0 - lam)
+    out = np.power(bases, exponents)
+    out -= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero exponent only occurs in rows recomputed below
+        out /= exponents
+    np.negative(out, out=out, where=~pos)
+    exact = ((np.abs(lambdas) < _EPS) | (np.abs(lambdas - 2.0) < _EPS)
+             | (np.fmod(lambdas, 0.5) == 0.0))
+    for i in np.flatnonzero(exact):
+        out[i] = yeo_johnson_transform(rows[i], lambdas[i])
+    return out
+
+
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
 #: scipy's defaults for the bounded method: absolute x tolerance and the
@@ -66,19 +121,21 @@ _XATOL = 1e-5
 _MAXITER = 500
 
 
-def _minimize_bounded(func, lower: float, upper: float) -> float:
-    """Brent's bounded scalar minimisation; returns the minimising ``x``.
+def _minimize_bounded(lower: float, upper: float):
+    """Brent's bounded scalar minimisation, as a generator.
 
-    A line-for-line port of scipy's ``_minimize_scalar_bounded`` (golden
-    section search with parabolic interpolation) at its default settings.
-    Keeping the arithmetic identical keeps the result bit-identical to
+    Yields each ``x`` to evaluate and must be sent ``f(x)``; returns (as
+    ``StopIteration.value``) the minimising ``x``.  A line-for-line port of
+    scipy's ``_minimize_scalar_bounded`` (golden section search with
+    parabolic interpolation) at its default settings.  Keeping the
+    arithmetic identical keeps the result bit-identical to
     ``minimize_scalar(func, bounds=(lower, upper), method="bounded").x``.
     """
     a, b = lower, upper
     fulc = a + _GOLDEN_MEAN * (b - a)
     nfc = xf = fulc
     rat = e = 0.0
-    fx = func(xf)
+    fx = yield xf
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
@@ -110,7 +167,7 @@ def _minimize_bounded(func, lower: float, upper: float) -> float:
             rat = _GOLDEN_MEAN * e
 
         x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
-        fu = func(x)
+        fu = yield x
         num += 1
 
         if fu <= fx:
@@ -145,10 +202,49 @@ def _sign_or_one(value: float) -> float:
     return -1.0 if value < 0 else 1.0
 
 
+def _optimal_lambdas(rows: np.ndarray,
+                     bounds: tuple[float, float] = (-4.0, 4.0)) -> np.ndarray:
+    """Maximum-likelihood lambda of every row of a ``(features, samples)`` block.
+
+    Runs one :func:`_minimize_bounded` search per row and, at each step,
+    scores all pending lambdas with one batched transform; row ``i`` gets
+    exactly ``optimal_lambda(rows[i])``.  ``rows`` must be C-contiguous
+    float64.
+    """
+    n_samples = rows.shape[1]
+    lambdas = np.empty(rows.shape[0])
+    pos, bases = _power_bases(rows)
+    log_terms = np.sum(np.sign(rows) * np.log1p(np.abs(rows)), axis=1)
+    searches = [_minimize_bounded(*bounds) for _ in range(rows.shape[0])]
+    live = np.arange(rows.shape[0])
+    pending = [next(search) for search in searches]
+
+    while searches:
+        trial = np.array(pending)
+        var = _yeo_johnson_rows(rows, pos, bases, trial).var(axis=1)
+        valid = np.isfinite(var) & (var > 0)
+        loglike = -0.5 * n_samples * np.log(np.where(valid, var, 1.0))
+        loglike += (trial - 1.0) * log_terms
+        scores = np.where(valid, -loglike, np.inf).tolist()
+
+        pending, kept = [], []
+        for k, (search, score) in enumerate(zip(searches, scores)):
+            try:
+                pending.append(search.send(score))
+                kept.append(k)
+            except StopIteration as done:
+                lambdas[live[k]] = done.value
+        if len(kept) < len(searches):
+            searches = [searches[k] for k in kept]
+            live, rows, pos, bases, log_terms = (
+                live[kept], rows[kept], pos[kept], bases[kept], log_terms[kept])
+    return lambdas
+
+
 def optimal_lambda(x: np.ndarray, bounds: tuple[float, float] = (-4.0, 4.0)) -> float:
     """Find the lambda maximising the Yeo-Johnson profile log-likelihood."""
-    return float(_minimize_bounded(
-        lambda lmbda: -yeo_johnson_log_likelihood(x, lmbda), *bounds))
+    rows = np.ascontiguousarray(x, dtype=np.float64).reshape(1, -1)
+    return float(_optimal_lambdas(rows, bounds)[0])
 
 
 class PowerTransformer(Preprocessor):
@@ -172,30 +268,20 @@ class PowerTransformer(Preprocessor):
         super().__init__(standardize=standardize)
 
     def _fit(self, X: np.ndarray, y=None) -> None:
-        n_features = X.shape[1]
-        self.lambdas_ = np.empty(n_features)
-        means = np.empty(n_features)
-        stds = np.empty(n_features)
-        for j in range(n_features):
-            col = X[:, j]
-            if np.all(col == col[0]):
-                # Constant feature: identity lambda and no scaling.
-                self.lambdas_[j] = 1.0
-                means[j] = yeo_johnson_transform(col, 1.0).mean()
-                stds[j] = 1.0
-                continue
-            self.lambdas_[j] = optimal_lambda(col)
-            transformed = yeo_johnson_transform(col, self.lambdas_[j])
-            means[j] = transformed.mean()
-            std = transformed.std()
-            stds[j] = std if std > 0 else 1.0
-        self.means_ = means
-        self.stds_ = stds
+        rows = np.ascontiguousarray(X.T)
+        # Constant feature: identity lambda and no scaling.
+        constant = np.all(rows == rows[:, :1], axis=1)
+        self.lambdas_ = np.ones(rows.shape[0])
+        self.lambdas_[~constant] = _optimal_lambdas(rows[~constant])
+        transformed = _yeo_johnson_rows(rows, *_power_bases(rows), self.lambdas_)
+        self.means_ = transformed.mean(axis=1)
+        stds = transformed.std(axis=1)
+        self.stds_ = np.where((stds > 0) & ~constant, stds, 1.0)
 
     def _transform(self, X: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(X.T)
         out = np.empty_like(X, dtype=np.float64)
-        for j in range(X.shape[1]):
-            out[:, j] = yeo_johnson_transform(X[:, j], self.lambdas_[j])
+        out[...] = _yeo_johnson_rows(rows, *_power_bases(rows), self.lambdas_).T
         if self.standardize:
             out = (out - self.means_) / self.stds_
         return out

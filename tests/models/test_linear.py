@@ -6,6 +6,8 @@ import pytest
 from repro.datasets.synthetic import make_classification
 from repro.exceptions import NotFittedError, ValidationError
 from repro.models import LinearDiscriminantAnalysis, LogisticRegression
+from repro.models.base import one_hot, softmax
+from repro.utils.random import check_random_state
 
 
 class TestLogisticRegression:
@@ -74,6 +76,63 @@ class TestLogisticRegression:
         a = LogisticRegression(random_state=7, max_iter=50).fit(X, y).predict_proba(X)
         b = LogisticRegression(random_state=7, max_iter=50).fit(X, y).predict_proba(X)
         np.testing.assert_allclose(a, b)
+
+
+def reference_lr_weights(X, y, *, C=1.0, max_iter=200, tol=1e-4,
+                         learning_rate=0.5, fit_intercept=True, random_state=0):
+    """Gradient descent that recomputes the softmax at the top of every step."""
+    rng = check_random_state(random_state)
+    n_samples, n_features = X.shape
+    n_classes = int(y.max()) + 1
+    if fit_intercept:
+        X = np.hstack([X, np.ones((n_samples, 1))])
+        n_features += 1
+    targets = one_hot(y, n_classes)
+    weights = rng.normal(scale=0.01, size=(n_features, n_classes))
+    alpha = 1.0 / (C * n_samples)
+    step = float(learning_rate)
+    previous_loss = np.inf
+    for _ in range(int(max_iter)):
+        probabilities = softmax(X @ weights)
+        grad = X.T @ (probabilities - targets) / n_samples + alpha * weights
+        if np.abs(grad).max() < tol:
+            break
+        weights -= step * grad
+        stepped = softmax(X @ weights)
+        loss = (-np.mean(np.sum(targets * np.log(stepped + 1e-12), axis=1))
+                + 0.5 * alpha * float(np.sum(weights * weights)))
+        if loss > previous_loss:
+            weights += step * grad
+            step *= 0.5
+            if step < 1e-6:
+                break
+        else:
+            step *= 1.05
+            previous_loss = loss
+    if fit_intercept:
+        return weights[:-1], weights[-1]
+    return weights, np.zeros(n_classes)
+
+
+class TestLogisticRegressionMatchesReference:
+    """Reusing the accepted step's probabilities changes no weight."""
+
+    @pytest.mark.parametrize("params", [
+        {},
+        {"C": 0.1, "max_iter": 60},
+        {"learning_rate": 5.0, "max_iter": 120},  # forces rejected steps
+        {"fit_intercept": False, "tol": 1e-2},
+        {"random_state": 3, "max_iter": 1},
+    ])
+    @pytest.mark.parametrize("n_classes,scale", [(2, 1.0), (3, 100.0), (4, 1e4)])
+    def test_coefficients_identical(self, params, n_classes, scale):
+        X, y = make_classification(n_samples=90, n_features=5, n_classes=n_classes,
+                                   random_state=n_classes)
+        X = X * scale
+        model = LogisticRegression(**params).fit(X, y)
+        coef, intercept = reference_lr_weights(X, y, **params)
+        assert np.array_equal(model.coef_, coef)
+        assert np.array_equal(model.intercept_, intercept)
 
 
 class TestLDA:

@@ -7,6 +7,7 @@ one on the same state dir, and the resumed session's accuracies must be
 bit-for-bit identical to a run that was never interrupted.
 """
 
+import threading
 import time
 
 import pytest
@@ -354,6 +355,21 @@ class TestFairScheduling:
         manager = SessionManager(state_dir=tmp_path / "state",
                                  max_sessions=1,
                                  tenant_weights={"light": 2.0})
+        # Hold heavy sessions at their first trial: the blocker until every
+        # submission is queued, the flood until the light session's outcome
+        # has been read.  Without the holds a fast search lets the blocker
+        # (or a started flood session) finish before the light session is
+        # queued or observed, and the statuses depend on timing.
+        all_queued, light_read = threading.Event(), threading.Event()
+        on_trial = manager._on_trial
+
+        def held_on_trial(record, session, trial):
+            if record.spec["tenant"] == "heavy":
+                gate = all_queued if record.spec["max_trials"] == 6 else light_read
+                assert gate.wait(timeout=60.0)
+            on_trial(record, session, trial)
+
+        manager._on_trial = held_on_trial
         try:
             assert manager.tenant_weights == {"light": 2.0}
             blocker = manager.submit({**SPEC, "max_trials": 6,
@@ -361,15 +377,19 @@ class TestFairScheduling:
             flood = [manager.submit({**SPEC, "tenant": "heavy"})
                      for _ in range(3)]
             light = manager.submit({**SPEC, "tenant": "light"})
+            all_queued.set()
             assert _wait_settled(manager, light)["status"] == "done"
             # the light session finished while the flood still waits:
             # under FIFO it would have been last
             statuses = [manager.status(session_id)["status"]
                         for session_id in flood]
+            light_read.set()
             assert statuses.count("queued") >= 2
             for session_id in [blocker, *flood]:
                 assert _wait_settled(manager, session_id)["status"] == "done"
         finally:
+            all_queued.set()
+            light_read.set()
             manager.shutdown()
 
 
